@@ -331,8 +331,15 @@ pub fn check_receptiveness_composed_stubborn_bounded<L: Label>(
     scan_obligations(comp, &obs, built)
 }
 
-/// Shared failure scan: probes every explored marking against every
-/// obligation and folds the exploration outcome into a [`Verdict`].
+/// Place indices of a preset, for probing raw marking rows.
+fn preset_indices(pre: &BTreeSet<PlaceId>) -> Vec<usize> {
+    pre.iter().map(|p| p.index()).collect()
+}
+
+/// Shared failure scan: walks the explored markings once in BFS order,
+/// records the first witness of each obligation, stops as soon as every
+/// obligation has one, and folds the exploration outcome into a
+/// [`Verdict`]. Failures keep obligation order.
 fn scan_obligations<L: Label>(
     comp: &Composition<L>,
     obs: &[Obligation],
@@ -340,27 +347,35 @@ fn scan_obligations<L: Label>(
 ) -> Verdict<ReceptivenessReport<L>> {
     let exhausted = built.exhausted().copied();
     let rg = built.value();
-    let mut failures = Vec::new();
-    for ob in obs {
-        let witness = rg.state_ids().find_map(|s| {
-            // Scan the raw arena row; materialize a `Marking` only for
-            // the (rare) witness itself.
-            let m = rg.marking_slice(s);
-            let producer_ready = ob.producer_pre.iter().all(|&p| m[p.index()] > 0);
-            let some_consumer_ready = ob
-                .consumer_pres
-                .iter()
-                .any(|cpre| cpre.iter().all(|&p| m[p.index()] > 0));
-            if producer_ready && !some_consumer_ready {
-                Some(rg.marking(s))
-            } else {
-                None
+    let probes: Vec<(Vec<usize>, Vec<Vec<usize>>)> = obs
+        .iter()
+        .map(|ob| {
+            let consumers = ob.consumer_pres.iter().map(preset_indices).collect();
+            (preset_indices(&ob.producer_pre), consumers)
+        })
+        .collect();
+    let mut witnesses = vec![None; obs.len()];
+    let mut open = obs.len();
+    for s in rg.state_ids() {
+        if open == 0 {
+            break;
+        }
+        // Probe the raw arena row; a `Marking` is materialized only for
+        // the witnesses themselves.
+        let m = rg.marking_slice(s);
+        let marked = |pre: &[usize]| pre.iter().all(|&p| m[p] > 0);
+        for (witness, (producer, consumers)) in witnesses.iter_mut().zip(&probes) {
+            if witness.is_none() && marked(producer) && !consumers.iter().any(|c| marked(c)) {
+                *witness = Some(s);
+                open -= 1;
             }
-        });
-        if let Some(w) = witness {
-            failures.push(ob.fail(comp, Some(w)));
         }
     }
+    let failures: Vec<_> = obs
+        .iter()
+        .zip(witnesses)
+        .filter_map(|(ob, w)| w.map(|s| ob.fail(comp, Some(rg.marking(s)))))
+        .collect();
     if !failures.is_empty() {
         Verdict::Fails(ReceptivenessReport { failures })
     } else {
@@ -713,6 +728,41 @@ mod tests {
             .expect("req failure reported");
         assert_eq!(req_failure.producer, Side::Left);
         assert!(req_failure.witness.is_some());
+    }
+
+    #[test]
+    fn scan_reports_first_bfs_witness_per_obligation() {
+        let (p, c) = broken();
+        let comp = parallel_tracked_common(&p, &c).unwrap();
+        let (louts, routs) = (["req"].into(), ["ack"].into());
+        let budget = Budget::unlimited();
+        let Verdict::Fails(report) =
+            check_receptiveness_composed_bounded(&comp, &louts, &routs, &budget)
+        else {
+            panic!("broken pair must fail");
+        };
+        // Reference: one full walk of the graph per obligation.
+        let rg = comp.net.reachability_bounded(&budget).complete().unwrap();
+        let ready = |m: &[u32], pre: &BTreeSet<PlaceId>| pre.iter().all(|q| m[q.index()] > 0);
+        let expected: Vec<_> = obligations(&comp, &louts, &routs)
+            .iter()
+            .filter_map(|ob| {
+                rg.state_ids()
+                    .find(|&s| {
+                        let m = rg.marking_slice(s);
+                        ready(m, &ob.producer_pre)
+                            && !ob.consumer_pres.iter().any(|cp| ready(m, cp))
+                    })
+                    .map(|s| (*comp.net.resolve(ob.sym), ob.producer, rg.marking(s)))
+            })
+            .collect();
+        let got: Vec<_> = report
+            .failures
+            .into_iter()
+            .map(|f| (f.label, f.producer, f.witness.unwrap()))
+            .collect();
+        assert_eq!(got.len(), 2, "req and ack both mis-fire");
+        assert_eq!(got, expected);
     }
 
     #[test]

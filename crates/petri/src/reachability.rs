@@ -303,6 +303,10 @@ impl ReachabilityGraph {
     /// Bytes resident in the marking arena and its hash index — the
     /// counter reported as `peak_resident_marking_bytes` in
     /// `BENCH_explore.json`.
+    ///
+    /// The index doubles with the states actually stored and is never
+    /// sized from the budget's state cap, so two complete explorations
+    /// of one net report the same figure under any budget.
     pub fn resident_marking_bytes(&self) -> usize {
         self.store.resident_bytes()
     }
@@ -528,9 +532,7 @@ fn explore_compiled(
 ) -> Bounded<ReachabilityGraph> {
     let mut meter = Meter::new(budget);
     let stride = compiled.place_count();
-    // Pre-size the probe table from the state budget so big bounded
-    // explorations skip the rehash cascade (store.rs, budget hint).
-    let mut store = MarkingStore::with_state_budget(stride, budget.max_states);
+    let mut store = MarkingStore::new(stride);
     store.intern(m0);
     // The initial state always exists, even under a zero budget.
     meter.take_state();
@@ -641,7 +643,7 @@ fn explore_stubborn(
 ) -> Bounded<ReachabilityGraph> {
     let mut meter = Meter::new(budget);
     let stride = compiled.place_count();
-    let mut store = MarkingStore::with_state_budget(stride, budget.max_states);
+    let mut store = MarkingStore::new(stride);
     store.intern(m0);
     meter.take_state();
 
@@ -817,12 +819,7 @@ pub fn reachability_bounded_spilled(
 ) -> Bounded<SpilledReachability> {
     let mut meter = Meter::new(budget);
     let stride = compiled.place_count();
-    let hint = if budget.max_states < usize::MAX / 2 {
-        budget.max_states + 1
-    } else {
-        0
-    };
-    let mut store = SpillStore::new(stride, config, hint);
+    let mut store = SpillStore::new(stride, config);
     let h0 = MarkingStore::hash_slice(m0);
     match store.insert_new_hashed(m0, h0) {
         Ok(_) => {}

@@ -28,16 +28,11 @@
 //! entry also purges every byte-tier alias that pointed at it.
 
 use cpn_format::{parse_with_limits, ParseLimits};
+use cpn_petri::hash::fnv1a_64;
 use cpn_petri::{CompiledNet, NetId, PetriNet};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-
-/// FNV-1a, 64-bit — re-exported from [`cpn_petri::hash`] so existing
-/// callers keep compiling while the implementation lives in one place.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    cpn_petri::hash::fnv1a_64(bytes)
-}
 
 /// A parsed and compiled net, shared between workers.
 #[derive(Debug)]
@@ -211,7 +206,7 @@ impl NetCache {
     /// poisoned negative entry would outlive a client's fixed resubmit)
     /// but do count as misses.
     pub fn get_or_compile(&self, doc: &str, name: &str) -> Result<Arc<CachedNet>, CacheMiss> {
-        let key = (fnv1a(doc.as_bytes()), name.to_owned());
+        let key = (fnv1a_64(doc.as_bytes()), name.to_owned());
         {
             let mut inner = self.lock();
             if let Some(&id) = inner.by_bytes.get(&key) {
@@ -305,7 +300,7 @@ impl NetCache {
     /// tier only: a reformatted copy of a resident net probes `false`
     /// (routing must stay O(hash), not O(parse)).
     pub fn peek(&self, doc: &str, name: &str) -> bool {
-        let key = (fnv1a(doc.as_bytes()), name.to_owned());
+        let key = (fnv1a_64(doc.as_bytes()), name.to_owned());
         let inner = self.lock();
         inner
             .by_bytes
