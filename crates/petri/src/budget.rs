@@ -352,9 +352,9 @@ impl Budget {
     }
 
     /// Immediate (not tick-gated) check of the deadline and cancel
-    /// flag. Explorers that do not thread a [`Meter`] — e.g. the
-    /// parallel BFS workers with their shared atomic accounting — call
-    /// this at their own coarse interval.
+    /// flag. [`Meter`] polls it every [`POLL_INTERVAL`] events; loops
+    /// that do not thread a meter (e.g. the synthesis search) call it at
+    /// their own coarse interval.
     pub fn interrupted(&self) -> Option<Resource> {
         if let Some(d) = self.deadline {
             if d.expired() {
@@ -381,6 +381,9 @@ pub enum Resource {
     Deadline,
     /// Cooperative cancellation was requested.
     Cancelled,
+    /// The marking store could not take another state: the allocator
+    /// refused, the 32-bit id space ran out, or spill-file i/o failed.
+    Store,
 }
 
 impl fmt::Display for Resource {
@@ -390,6 +393,7 @@ impl fmt::Display for Resource {
             Resource::Transitions => write!(f, "transitions"),
             Resource::Deadline => write!(f, "deadline"),
             Resource::Cancelled => write!(f, "cancelled"),
+            Resource::Store => write!(f, "store"),
         }
     }
 }
@@ -663,6 +667,12 @@ impl Meter {
         }
         self.transitions += 1;
         true
+    }
+
+    /// Stops the meter for `resource` unless it has already stopped —
+    /// for explorers whose state store fails mid-run.
+    pub(crate) fn stop(&mut self, resource: Resource) {
+        self.stopped.get_or_insert(resource);
     }
 
     /// Whether a cap has been hit.

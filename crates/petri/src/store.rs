@@ -14,9 +14,9 @@
 //! Collision policy: linear probing, no deletions (exploration only ever
 //! inserts), table doubled at 7/8 load with a full rehash from the
 //! per-state hash cache. The table is sized by the states stored, never
-//! by an exploration's state cap. The 64-bit hash is also the
-//! shard-ownership key of the parallel explorer (`shard = high bits mod
-//! threads`), so a marking's owner is a pure function of its content.
+//! by an exploration's state cap. [`MarkingStore`] and the spillable
+//! [`SpillStore`] share this one index type; they differ only in where
+//! the rows live.
 
 use crate::error::PetriError;
 
@@ -24,6 +24,138 @@ use crate::error::PetriError;
 const EMPTY: u64 = 0;
 /// Initial table capacity (power of two).
 const INITIAL_SLOTS: usize = 16;
+/// Slot bits holding the hash tag; the low 32 bits hold `id + 1`.
+const HIGH_MASK: u64 = 0xFFFF_FFFF_0000_0000;
+
+/// The open-addressing id index both stores share: one slot per id
+/// packing `(high 32 hash bits, id + 1)` into a `u64` (0 = empty), plus
+/// the full 64-bit hash of every id, from which the table is rebuilt when
+/// it doubles at 7/8 load. Ids are dense and assigned in insertion order.
+#[derive(Clone, Debug)]
+struct SlotIndex {
+    table: Vec<u64>,
+    mask: usize,
+    hashes: Vec<u64>,
+}
+
+/// A linear probe over the slots of one hash (see [`SlotIndex::next`]).
+struct Probe {
+    slot: usize,
+    tag: u64,
+}
+
+impl SlotIndex {
+    fn with_capacity(cap: usize) -> Self {
+        let slots = (cap * 8 / 7 + 1).next_power_of_two().max(INITIAL_SLOTS);
+        SlotIndex {
+            table: vec![EMPTY; slots],
+            mask: slots - 1,
+            hashes: Vec::with_capacity(cap),
+        }
+    }
+
+    /// Number of ids indexed.
+    #[inline]
+    fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    #[inline]
+    fn hash_of(&self, id: usize) -> u64 {
+        self.hashes[id]
+    }
+
+    #[inline]
+    fn probe(&self, hash: u64) -> Probe {
+        Probe {
+            slot: (hash as usize) & self.mask,
+            tag: hash & HIGH_MASK,
+        }
+    }
+
+    /// The next id on the probe whose slot tag matches, or `None` once
+    /// the probe reaches an empty slot. The caller confirms the row.
+    #[inline]
+    fn next(&self, p: &mut Probe) -> Option<usize> {
+        loop {
+            let entry = self.table[p.slot];
+            if entry == EMPTY {
+                return None;
+            }
+            p.slot = (p.slot + 1) & self.mask;
+            if entry & HIGH_MASK == p.tag {
+                return Some(((entry & !HIGH_MASK) - 1) as usize);
+            }
+        }
+    }
+
+    /// Makes room in the table for one more id: checks the 32-bit id
+    /// space and doubles the table at 7/8 load. On error nothing
+    /// observable changed.
+    fn reserve_slot(&mut self) -> Result<(), PetriError> {
+        let len = self.len();
+        if len >= (u32::MAX - 1) as usize {
+            return Err(PetriError::IndexOverflow { index: len });
+        }
+        if (len + 1) * 8 >= self.table.len() * 7 {
+            self.grow()?;
+        }
+        Ok(())
+    }
+
+    /// Makes room in the hash cache for one more id.
+    fn reserve_hash(&mut self) -> Result<(), PetriError> {
+        self.hashes
+            .try_reserve(1)
+            .map_err(|_| PetriError::AllocationFailed {
+                bytes: std::mem::size_of::<u64>(),
+            })
+    }
+
+    /// Indexes the next id under `hash` and returns it. The caller has
+    /// made room with both reserve calls and checked the row is absent.
+    fn push(&mut self, hash: u64) -> u32 {
+        let id = self.len() as u32;
+        self.hashes.push(hash);
+        self.place_slot(hash, id);
+        id
+    }
+
+    /// Bytes resident in the slot table and the hash cache.
+    fn resident_bytes(&self) -> usize {
+        (self.table.capacity() + self.hashes.capacity()) * std::mem::size_of::<u64>()
+    }
+
+    fn place_slot(&mut self, hash: u64, id: u32) {
+        let entry = (hash & HIGH_MASK) | (u64::from(id) + 1);
+        let mut slot = (hash as usize) & self.mask;
+        while self.table[slot] != EMPTY {
+            slot = (slot + 1) & self.mask;
+        }
+        self.table[slot] = entry;
+    }
+
+    /// Doubles the slot table. On allocator refusal the old table (and
+    /// the whole store) is left intact, so a failed grow is retryable
+    /// and never corrupts the index — the caller sees a graceful
+    /// [`PetriError::AllocationFailed`] instead of an abort.
+    fn grow(&mut self) -> Result<(), PetriError> {
+        let new_slots = self.table.len() * 2;
+        let mut table = Vec::new();
+        table
+            .try_reserve_exact(new_slots)
+            .map_err(|_| PetriError::AllocationFailed {
+                bytes: new_slots * std::mem::size_of::<u64>(),
+            })?;
+        table.resize(new_slots, EMPTY);
+        self.table = table;
+        self.mask = new_slots - 1;
+        for i in 0..self.hashes.len() {
+            self.place_slot(self.hashes[i], i as u32);
+        }
+        Ok(())
+    }
+}
 
 /// A deduplicating arena of fixed-stride `u32` vectors (markings, or any
 /// packed per-state payload such as the STG kernel's marking+encoding
@@ -50,15 +182,8 @@ pub struct MarkingStore {
     stride: usize,
     /// Flat arena: marking `i` lives at `data[i*stride .. (i+1)*stride]`.
     data: Vec<u32>,
-    /// Full 64-bit hash per stored marking (rehash + shard ownership).
-    hashes: Vec<u64>,
-    /// Open-addressing slots: `(hash & HIGH_MASK) | (id + 1)`, 0 = empty.
-    table: Vec<u64>,
-    mask: usize,
-    len: usize,
+    index: SlotIndex,
 }
-
-const HIGH_MASK: u64 = 0xFFFF_FFFF_0000_0000;
 
 impl MarkingStore {
     /// An empty store over `stride` places.
@@ -68,14 +193,10 @@ impl MarkingStore {
 
     /// An empty store pre-sized for about `cap` markings.
     pub fn with_capacity(stride: usize, cap: usize) -> Self {
-        let slots = (cap * 8 / 7 + 1).next_power_of_two().max(INITIAL_SLOTS);
         MarkingStore {
             stride,
             data: Vec::with_capacity(cap * stride),
-            hashes: Vec::with_capacity(cap),
-            table: vec![EMPTY; slots],
-            mask: slots - 1,
-            len: 0,
+            index: SlotIndex::with_capacity(cap),
         }
     }
 
@@ -85,13 +206,14 @@ impl MarkingStore {
     }
 
     /// Number of distinct markings stored.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.index.len()
     }
 
     /// Whether the store holds no markings.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// The marking with id `i`.
@@ -99,8 +221,9 @@ impl MarkingStore {
     /// # Panics
     ///
     /// Panics if `i >= len()`.
+    #[inline]
     pub fn get(&self, i: usize) -> &[u32] {
-        assert!(i < self.len, "marking id {i} out of range");
+        assert!(i < self.len(), "marking id {i} out of range");
         &self.data[i * self.stride..(i + 1) * self.stride]
     }
 
@@ -109,18 +232,19 @@ impl MarkingStore {
     /// # Panics
     ///
     /// Panics if `i >= len()`.
+    #[inline]
     pub fn hash_of(&self, i: usize) -> u64 {
-        self.hashes[i]
+        self.index.hash_of(i)
     }
 
     /// Iterates over all stored markings in id order.
     pub fn iter(&self) -> impl Iterator<Item = &[u32]> + '_ {
-        (0..self.len).map(move |i| self.get(i))
+        (0..self.len()).map(move |i| self.get(i))
     }
 
     /// SplitMix64 finalizer (see [`crate::hash::mix64`]): full avalanche,
-    /// so summing outputs keeps high-bit entropy (the index tag and the
-    /// shard router both read the high bits).
+    /// so summing outputs keeps high-bit entropy (the index tag reads
+    /// the high bits).
     #[inline]
     fn mix(z: u64) -> u64 {
         crate::hash::mix64(z)
@@ -138,11 +262,11 @@ impl MarkingStore {
         Self::mix(((pos as u64) << 32) ^ u64::from(val))
     }
 
-    /// The content hash used by the index and the parallel shard router.
+    /// The content hash used by the index.
     ///
     /// A commutative sum of [`MarkingStore::entry_hash`] terms seeded by
-    /// the length: deterministic, allocation-free, identical across runs
-    /// and thread counts, and incrementally updatable under firing.
+    /// the length: deterministic, allocation-free, identical across
+    /// runs, and incrementally updatable under firing.
     #[inline]
     pub fn hash_slice(m: &[u32]) -> u64 {
         let mut h = Self::mix(0x9E37_79B9_7F4A_7C15 ^ (m.len() as u64));
@@ -158,23 +282,16 @@ impl MarkingStore {
     }
 
     /// [`MarkingStore::find`] with the hash precomputed by the caller.
+    #[inline]
     pub fn find_hashed(&self, m: &[u32], hash: u64) -> Option<u32> {
         debug_assert_eq!(m.len(), self.stride, "marking over different net");
-        let tag = hash & HIGH_MASK;
-        let mut slot = (hash as usize) & self.mask;
-        loop {
-            let entry = self.table[slot];
-            if entry == EMPTY {
-                return None;
+        let mut probe = self.index.probe(hash);
+        while let Some(id) = self.index.next(&mut probe) {
+            if &self.data[id * self.stride..(id + 1) * self.stride] == m {
+                return Some(id as u32);
             }
-            if entry & HIGH_MASK == tag {
-                let id = ((entry & !HIGH_MASK) - 1) as usize;
-                if &self.data[id * self.stride..(id + 1) * self.stride] == m {
-                    return Some(id as u32);
-                }
-            }
-            slot = (slot + 1) & self.mask;
         }
+        None
     }
 
     /// Inserts a marking the caller has verified to be absent
@@ -193,28 +310,18 @@ impl MarkingStore {
     pub fn insert_new_hashed(&mut self, m: &[u32], hash: u64) -> Result<u32, PetriError> {
         debug_assert_eq!(m.len(), self.stride, "marking over different net");
         debug_assert!(self.find_hashed(m, hash).is_none(), "duplicate insert");
-        if self.len >= (u32::MAX - 1) as usize {
-            return Err(PetriError::IndexOverflow { index: self.len });
-        }
-        if (self.len + 1) * 8 >= self.table.len() * 7 {
-            self.grow()?;
-        }
+        // Table, arena, then hash cache: reserving the hash cache first
+        // moved the `explore_heavy` benchmark's peak RSS by -6% to +2%
+        // from run to run.
+        self.index.reserve_slot()?;
         self.data
             .try_reserve(self.stride)
             .map_err(|_| PetriError::AllocationFailed {
                 bytes: self.stride * std::mem::size_of::<u32>(),
             })?;
-        self.hashes
-            .try_reserve(1)
-            .map_err(|_| PetriError::AllocationFailed {
-                bytes: std::mem::size_of::<u64>(),
-            })?;
-        let id = self.len as u32;
+        self.index.reserve_hash()?;
         self.data.extend_from_slice(m);
-        self.hashes.push(hash);
-        self.len += 1;
-        self.place_slot(hash, id);
-        Ok(id)
+        Ok(self.index.push(hash))
     }
 
     /// Finds or inserts a marking; returns `(id, newly_inserted)`.
@@ -250,40 +357,7 @@ impl MarkingStore {
     /// Bytes resident in the arena, hash cache and index — the
     /// `peak_resident_markings` counter of `BENCH_explore.json`.
     pub fn resident_bytes(&self) -> usize {
-        self.data.capacity() * std::mem::size_of::<u32>()
-            + self.hashes.capacity() * std::mem::size_of::<u64>()
-            + self.table.capacity() * std::mem::size_of::<u64>()
-    }
-
-    fn place_slot(&mut self, hash: u64, id: u32) {
-        let entry = (hash & HIGH_MASK) | (u64::from(id) + 1);
-        let mut slot = (hash as usize) & self.mask;
-        while self.table[slot] != EMPTY {
-            slot = (slot + 1) & self.mask;
-        }
-        self.table[slot] = entry;
-    }
-
-    /// Doubles the slot table. On allocator refusal the old table (and
-    /// the whole store) is left intact, so a failed grow is retryable
-    /// and never corrupts the index — the caller sees a graceful
-    /// [`PetriError::AllocationFailed`] instead of an abort.
-    fn grow(&mut self) -> Result<(), PetriError> {
-        let new_slots = self.table.len() * 2;
-        let mut table = Vec::new();
-        table
-            .try_reserve_exact(new_slots)
-            .map_err(|_| PetriError::AllocationFailed {
-                bytes: new_slots * std::mem::size_of::<u64>(),
-            })?;
-        table.resize(new_slots, EMPTY);
-        self.table = table;
-        self.mask = new_slots - 1;
-        for i in 0..self.len {
-            let hash = self.hashes[i];
-            self.place_slot(hash, i as u32);
-        }
-        Ok(())
+        self.data.capacity() * std::mem::size_of::<u32>() + self.index.resident_bytes()
     }
 }
 
@@ -483,22 +557,20 @@ impl Drop for Pager {
 /// bounded by [`SpillConfig::resident_payload_bytes`] instead of
 /// `states × places × 4` bytes.
 ///
-/// The membership index (slot table + full 64-bit hash per row) is always
-/// resident: a negative lookup — the overwhelmingly common case during
-/// exploration — never touches disk, and a positive lookup pages in at
-/// most one segment. Ids are dense `u32`s in insertion order, exactly
-/// like [`MarkingStore`], so the sequential explorer runs unchanged on
-/// either tier and produces bit-identical numbering.
+/// The membership index (the same slot index as [`MarkingStore`]'s, with
+/// a full 64-bit hash per row) is always resident: a negative lookup —
+/// the overwhelmingly common case during exploration — never touches
+/// disk, and a positive lookup pages in at most one segment. Ids are
+/// dense `u32`s in insertion order, exactly like [`MarkingStore`], so the
+/// exploration driver runs unchanged on either tier and produces
+/// bit-identical numbering.
 ///
 /// Rows are materialized by copy ([`SpillStore::get_into`]) rather than
 /// borrowed: a paged-out row has no stable address to borrow from.
 #[derive(Debug)]
 pub struct SpillStore {
     stride: usize,
-    len: usize,
-    table: Vec<u64>,
-    mask: usize,
-    hashes: Vec<u64>,
+    index: SlotIndex,
     seg_rows: usize,
     segments: Vec<Segment>,
     resident_payload: usize,
@@ -523,10 +595,7 @@ impl SpillStore {
     pub fn new(stride: usize, config: &SpillConfig) -> Self {
         SpillStore {
             stride,
-            len: 0,
-            table: vec![EMPTY; INITIAL_SLOTS],
-            mask: INITIAL_SLOTS - 1,
-            hashes: Vec::new(),
+            index: SlotIndex::with_capacity(0),
             seg_rows: config.segment_rows.max(2),
             segments: Vec::new(),
             resident_payload: 0,
@@ -548,12 +617,12 @@ impl SpillStore {
 
     /// Number of distinct markings stored.
     pub fn len(&self) -> usize {
-        self.len
+        self.index.len()
     }
 
     /// Whether the store holds no markings.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// The cached 64-bit hash of marking `i`.
@@ -562,7 +631,7 @@ impl SpillStore {
     ///
     /// Panics if `i >= len()`.
     pub fn hash_of(&self, i: usize) -> u64 {
-        self.hashes[i]
+        self.index.hash_of(i)
     }
 
     /// The largest token count any stored marking puts in any place.
@@ -584,8 +653,7 @@ impl SpillStore {
 
     /// Bytes currently resident: index + hashes + references + payload.
     pub fn resident_bytes(&self) -> usize {
-        self.table.capacity() * std::mem::size_of::<u64>()
-            + self.hashes.capacity() * std::mem::size_of::<u64>()
+        self.index.resident_bytes()
             + self
                 .segments
                 .iter()
@@ -605,7 +673,7 @@ impl SpillStore {
     ///
     /// Panics if `i >= len()`.
     pub fn get_into(&mut self, i: usize, out: &mut Vec<u32>) -> Result<(), PetriError> {
-        assert!(i < self.len, "marking id {i} out of range");
+        assert!(i < self.len(), "marking id {i} out of range");
         let seg_idx = i / self.seg_rows;
         self.ensure_resident(seg_idx)?;
         let seg = &self.segments[seg_idx];
@@ -629,21 +697,13 @@ impl SpillStore {
     /// [`PetriError::SpillIo`] if a confirming page-in fails.
     pub fn find_hashed(&mut self, m: &[u32], hash: u64) -> Result<Option<u32>, PetriError> {
         debug_assert_eq!(m.len(), self.stride, "marking over different net");
-        let tag = hash & HIGH_MASK;
-        let mut slot = (hash as usize) & self.mask;
-        loop {
-            let entry = self.table[slot];
-            if entry == EMPTY {
-                return Ok(None);
+        let mut probe = self.index.probe(hash);
+        while let Some(id) = self.index.next(&mut probe) {
+            if self.index.hash_of(id) == hash && self.row_matches(id, m)? {
+                return Ok(Some(id as u32));
             }
-            if entry & HIGH_MASK == tag {
-                let id = ((entry & !HIGH_MASK) - 1) as usize;
-                if self.hashes[id] == hash && self.row_matches(id, m)? {
-                    return Ok(Some(id as u32));
-                }
-            }
-            slot = (slot + 1) & self.mask;
         }
+        Ok(None)
     }
 
     /// Inserts a marking the caller has verified absent (via
@@ -654,26 +714,31 @@ impl SpillStore {
     /// [`PetriError::IndexOverflow`] at the 32-bit id cap,
     /// [`PetriError::AllocationFailed`] on refused growth, or
     /// [`PetriError::SpillIo`] if making room required an eviction that
-    /// failed. The store stays usable on error.
+    /// failed. On error the store holds exactly the rows it held before
+    /// and stays usable.
     pub fn insert_new_hashed(&mut self, m: &[u32], hash: u64) -> Result<u32, PetriError> {
         debug_assert_eq!(m.len(), self.stride, "marking over different net");
-        if self.len >= (u32::MAX - 1) as usize {
-            return Err(PetriError::IndexOverflow { index: self.len });
-        }
-        if (self.len + 1) * 8 >= self.table.len() * 7 {
-            self.grow()?;
-        }
+        self.index.reserve_slot()?;
+        self.index.reserve_hash()?;
         let start_new = self
             .segments
             .last()
             .is_none_or(|tail| tail.rows == self.seg_rows);
         if start_new {
+            // The full tail is sealed either way; the new segment joins
+            // only once eviction has made room for it, so a failed
+            // eviction leaves no segment without an id behind.
             if let Some(tail) = self.segments.last_mut() {
                 tail.sealed = true;
             }
-            self.segments.push(Segment::fresh(m.to_vec()));
-            self.resident_payload += self.segments[self.segments.len() - 1].payload_bytes();
-            self.enforce_budget(usize::MAX)?;
+            let fresh = Segment::fresh(m.to_vec());
+            let bytes = fresh.payload_bytes();
+            self.resident_payload += bytes;
+            if let Err(e) = self.enforce_budget(usize::MAX) {
+                self.resident_payload -= bytes;
+                return Err(e);
+            }
+            self.segments.push(fresh);
             for &w in m {
                 self.max_word = self.max_word.max(w);
             }
@@ -692,11 +757,7 @@ impl SpillStore {
             tail.rows += 1;
             self.resident_payload += self.segments[tail_idx].payload_bytes() - before;
         }
-        let id = self.len as u32;
-        self.hashes.push(hash);
-        self.len += 1;
-        self.place_slot(hash, id);
-        Ok(id)
+        Ok(self.index.push(hash))
     }
 
     /// Finds or inserts; returns `(id, newly_inserted)`.
@@ -798,33 +859,6 @@ impl SpillStore {
         seg.payload = Vec::new();
         seg.resident = false;
         self.page_outs += 1;
-        Ok(())
-    }
-
-    fn place_slot(&mut self, hash: u64, id: u32) {
-        let entry = (hash & HIGH_MASK) | (u64::from(id) + 1);
-        let mut slot = (hash as usize) & self.mask;
-        while self.table[slot] != EMPTY {
-            slot = (slot + 1) & self.mask;
-        }
-        self.table[slot] = entry;
-    }
-
-    fn grow(&mut self) -> Result<(), PetriError> {
-        let new_slots = self.table.len() * 2;
-        let mut table = Vec::new();
-        table
-            .try_reserve_exact(new_slots)
-            .map_err(|_| PetriError::AllocationFailed {
-                bytes: new_slots * std::mem::size_of::<u64>(),
-            })?;
-        table.resize(new_slots, EMPTY);
-        self.table = table;
-        self.mask = new_slots - 1;
-        for i in 0..self.len {
-            let hash = self.hashes[i];
-            self.place_slot(hash, i as u32);
-        }
         Ok(())
     }
 }
@@ -1012,6 +1046,52 @@ mod tests {
             stats.resident_payload_bytes
         );
         assert!(stats.page_outs > 0);
+    }
+
+    #[test]
+    fn failed_spill_eviction_leaves_store_unchanged() {
+        // Two-row segments, nothing resident, and a spill directory that
+        // does not exist: the insert that opens the second segment must
+        // evict the first and cannot.
+        let cfg = SpillConfig {
+            resident_payload_bytes: 0,
+            segment_rows: 2,
+            spill_dir: Some(std::env::temp_dir().join("cpn-spill-missing-dir/nested")),
+        };
+        let mut spill = SpillStore::new(3, &cfg);
+        spill.try_intern(&[1, 0, 0]).unwrap();
+        spill.try_intern(&[0, 1, 0]).unwrap();
+        let third = [0, 0, 1];
+        let err = spill.insert_new_hashed(&third, MarkingStore::hash_slice(&third));
+        assert!(matches!(err, Err(PetriError::SpillIo { .. })), "{err:?}");
+        assert_eq!(spill.len(), 2);
+        assert_eq!(spill.stats().segments, 1, "no segment without rows");
+        assert_eq!(
+            spill
+                .find_hashed(&third, MarkingStore::hash_slice(&third))
+                .unwrap(),
+            None
+        );
+        let mut buf = Vec::new();
+        spill.get_into(0, &mut buf).unwrap();
+        assert_eq!(buf, [1, 0, 0]);
+        spill.get_into(1, &mut buf).unwrap();
+        assert_eq!(buf, [0, 1, 0]);
+        // Whatever the next insert does, it must not hand out an id
+        // whose row reads back as something else.
+        let next = [2, 2, 2];
+        let hash = MarkingStore::hash_slice(&next);
+        match spill.insert_new_hashed(&next, hash) {
+            Ok(id) => {
+                spill.get_into(id as usize, &mut buf).unwrap();
+                assert_eq!(buf, next, "row of id {id}");
+                assert_eq!(spill.find_hashed(&next, hash).unwrap(), Some(id));
+            }
+            Err(_) => {
+                assert_eq!(spill.len(), 2);
+                assert_eq!(spill.find_hashed(&next, hash).unwrap(), None);
+            }
+        }
     }
 
     #[test]

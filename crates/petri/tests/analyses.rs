@@ -238,10 +238,26 @@ fn cancelled_exploration_stops_with_cancelled_resource() {
 }
 
 #[test]
-fn deadline_applies_to_coverability_and_parallel_exploration() {
+fn deadline_applies_to_coverability_and_every_explorer() {
     let net = toggle_net(24);
     let budget = Budget::unlimited().with_deadline(std::time::Duration::ZERO);
     assert!(!CoverabilityTree::build_bounded(&net, &budget).is_complete());
-    let out = net.reachability_bounded_parallel(&budget, 4);
-    assert!(!out.is_complete());
+    let legacy = net.reachability_bounded_legacy(&budget);
+    let compiled = net.reachability_bounded(&budget);
+    let spilled = cpn_petri::reachability_bounded_spilled(
+        &net.compile(),
+        net.initial_marking().as_slice(),
+        &budget,
+        &cpn_petri::SpillConfig {
+            resident_payload_bytes: 0,
+            segment_rows: 4,
+            ..cpn_petri::SpillConfig::default()
+        },
+    );
+    let stop = legacy.exhausted().map(|i| i.resource);
+    assert_eq!(stop, Some(cpn_petri::Resource::Deadline));
+    assert_eq!(compiled.exhausted().map(|i| i.resource), stop);
+    assert_eq!(spilled.exhausted().map(|i| i.resource), stop);
+    assert_eq!(compiled.value().state_count(), legacy.value().state_count());
+    assert_eq!(spilled.value().state_count(), legacy.value().state_count());
 }

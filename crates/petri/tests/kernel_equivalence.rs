@@ -1,16 +1,16 @@
 //! Property tests: the exploration kernels — the legacy cloned-map
-//! explorer, the compiled sequential explorer, the lock-free parallel
-//! explorer (2, 4, and 8 threads), and the out-of-core spill explorer —
-//! must be **bit-identical** on random nets: same state sequence, same
-//! edge lists, same deadlock sets, and the same exhaustion statistics
-//! under equal budgets.
+//! explorer and the one frontier driver over the resident arena and over
+//! the out-of-core spill store — must be **bit-identical** on random
+//! nets: same state sequence, same edge lists, same deadlock sets, and
+//! the same exhaustion statistics under equal budgets, including budgets
+//! that are cancelled or past their deadline before the first state.
 //!
 //! Driven by the deterministic `cpn-testkit` harness: failures print a
 //! case seed, replayable via `CPN_TESTKIT_SEED=<seed>`.
 
 use cpn_petri::{
     reachability_bounded_spilled, Bounded, Budget, CancelScope, PetriNet, ReachabilityGraph,
-    SpillConfig,
+    Resource, SpillConfig, SpilledReachability, StateId,
 };
 use cpn_testkit::{check, prop_assert, prop_assert_eq, NetStrategy};
 
@@ -51,10 +51,31 @@ fn explorers(
     vec![
         ("legacy", net.reachability_bounded_legacy(budget)),
         ("compiled", net.reachability_bounded(budget)),
-        ("parallel-2", net.reachability_bounded_parallel(budget, 2)),
-        ("parallel-4", net.reachability_bounded_parallel(budget, 4)),
-        ("parallel-8", net.reachability_bounded_parallel(budget, 8)),
     ]
+}
+
+/// Asserts a spilled graph equals a resident one: counts, token bound,
+/// deadlocks, and every marking (decoded through the page cache) and
+/// edge list.
+fn assert_spilled_matches(
+    sp: &mut SpilledReachability,
+    rg: &ReachabilityGraph,
+) -> Result<(), cpn_testkit::PropFail> {
+    prop_assert_eq!(sp.state_count(), rg.state_count(), "state count");
+    prop_assert_eq!(sp.edge_count(), rg.edge_count(), "edge count");
+    prop_assert_eq!(sp.initial_state(), rg.initial_state(), "initial");
+    prop_assert_eq!(sp.token_bound(), rg.token_bound(), "token bound");
+    prop_assert_eq!(sp.deadlock_states(), rg.deadlock_states(), "deadlocks");
+    let mut buf = Vec::new();
+    for s in rg.state_ids() {
+        let Ok(()) = sp.marking_into(s, &mut buf) else {
+            prop_assert!(false, "spill read failed for {}", s);
+            return Ok(());
+        };
+        prop_assert_eq!(buf.as_slice(), rg.marking_slice(s), "marking {}", s);
+        prop_assert_eq!(sp.edges(s), rg.edges(s), "edges {}", s);
+    }
+    Ok(())
 }
 
 /// A spill config so small that every segment seals after 4 rows and no
@@ -172,23 +193,10 @@ fn spill_explorer_matches_resident_kernel_exactly() {
                 );
                 let ref_rg = resident.value();
                 let mut sp = spilled.into_value();
-                let sp = &mut sp;
-                prop_assert_eq!(sp.state_count(), ref_rg.state_count(), "state count");
-                prop_assert_eq!(sp.edge_count(), ref_rg.edge_count(), "edge count");
-                prop_assert_eq!(sp.token_bound(), ref_rg.token_bound(), "token bound");
-                prop_assert_eq!(sp.deadlock_states(), ref_rg.deadlock_states(), "deadlocks");
                 // Every row decodes back byte-identical through the page
                 // cache (segments of 4 rows, zero resident budget, so
-                // this loop thrashes page-in/page-out on purpose).
-                let mut buf = Vec::new();
-                for s in ref_rg.state_ids() {
-                    let Ok(()) = sp.marking_into(s, &mut buf) else {
-                        prop_assert!(false, "spill read failed for {}", s);
-                        return Ok(());
-                    };
-                    prop_assert_eq!(buf.as_slice(), ref_rg.marking_slice(s), "marking {}", s);
-                    prop_assert_eq!(sp.edges(s), ref_rg.edges(s), "edges {}", s);
-                }
+                // this thrashes page-in/page-out on purpose).
+                assert_spilled_matches(&mut sp, ref_rg)?;
                 if ref_rg.state_count() > 8 {
                     let stats = sp.spill_stats();
                     prop_assert!(
@@ -203,12 +211,42 @@ fn spill_explorer_matches_resident_kernel_exactly() {
     );
 }
 
+/// Runs every explorer under `budget` and asserts each stops exactly
+/// where the legacy reference does: same stop statistics, same prefix.
+fn assert_interrupted_alike(
+    net: &PetriNet<String>,
+    budget: &Budget,
+) -> Result<(), cpn_testkit::PropFail> {
+    let reference = net.reachability_bounded_legacy(budget);
+    prop_assert!(!reference.is_complete(), "interrupted run completed");
+    let compiled = net.reachability_bounded(budget);
+    prop_assert_eq!(
+        compiled.exhausted().copied(),
+        reference.exhausted().copied(),
+        "compiled stats"
+    );
+    assert_graphs_identical(reference.value(), compiled.value(), "compiled")?;
+    let spilled = reachability_bounded_spilled(
+        &net.compile(),
+        net.initial_marking().as_slice(),
+        budget,
+        &aggressive_spill(),
+    );
+    prop_assert_eq!(
+        spilled.exhausted().copied(),
+        reference.exhausted().copied(),
+        "spilled stats"
+    );
+    assert_spilled_matches(&mut spilled.into_value(), reference.value())?;
+    Ok(())
+}
+
 #[test]
 fn cancellation_mid_exploration_is_deterministic() {
-    // A pre-cancelled token: every kernel observes the interrupt at its
-    // first poll — including parallel workers mid-steal, which must then
-    // agree (via the sequential replay) with the directly-run sequential
-    // kernel on the exact prefix and stop statistics.
+    // A pre-cancelled token: every explorer observes the interrupt at
+    // its first poll and must report the same one-state prefix and stop
+    // statistics — the resident and the spill tier share the driver's
+    // interrupt path, the legacy explorer is the reference.
     check(
         "cancellation_mid_exploration_is_deterministic",
         &raw_net(),
@@ -217,46 +255,54 @@ fn cancellation_mid_exploration_is_deterministic() {
             let scope = CancelScope::new();
             scope.cancel();
             let budget = Budget::states(50_000).with_cancel(scope.token());
-            let reference = net.reachability_bounded(&budget);
-            for threads in [2usize, 4, 8] {
-                let parallel = net.reachability_bounded_parallel(&budget, threads);
-                prop_assert_eq!(
-                    parallel.exhausted().copied(),
-                    reference.exhausted().copied(),
-                    "stats at {} threads",
-                    threads
-                );
-                assert_graphs_identical(
-                    reference.value(),
-                    parallel.value(),
-                    &format!("cancelled parallel-{threads}"),
-                )?;
-            }
-            Ok(())
+            assert_interrupted_alike(&net, &budget)
         },
     );
 }
 
 #[test]
-fn deadline_cancellation_mid_steal_terminates() {
-    // An already-expired deadline on a workload big enough that all
-    // workers are live: exploration must terminate promptly and fall
-    // back to the deterministic sequential prefix.
+fn expired_deadline_stops_every_explorer_alike() {
+    // An already-expired deadline on a 2^14-state workload: every
+    // explorer must stop at its first poll with the same prefix.
     let net = cpn_testkit::sync_pipeline_net(14);
     let budget = Budget::states(1 << 20).with_deadline(std::time::Duration::ZERO);
-    let reference = net.reachability_bounded(&budget);
-    for threads in [2usize, 4, 8] {
-        let parallel = net.reachability_bounded_parallel(&budget, threads);
-        assert_eq!(
-            parallel.exhausted().map(|i| i.resource),
-            reference.exhausted().map(|i| i.resource),
-            "stop resource at {threads} threads"
-        );
-        assert_eq!(
-            parallel.value().state_count(),
-            reference.value().state_count(),
-            "prefix size at {threads} threads"
-        );
+    if let Err(fail) = assert_interrupted_alike(&net, &budget) {
+        panic!("{fail:?}");
+    }
+}
+
+#[test]
+fn spill_io_failure_stops_with_store_resource() {
+    // Two-row segments, nothing resident, and a spill directory that
+    // does not exist: the first eviction fails. The run must say it was
+    // cut short (unexpanded states would otherwise read as deadlocks)
+    // and keep a sound prefix of the resident graph.
+    let net = cpn_testkit::sync_pipeline_net(6);
+    let config = SpillConfig {
+        resident_payload_bytes: 0,
+        segment_rows: 2,
+        spill_dir: Some(std::env::temp_dir().join("cpn-spill-missing-dir/nested")),
+    };
+    let budget = Budget::default();
+    let spilled = reachability_bounded_spilled(
+        &net.compile(),
+        net.initial_marking().as_slice(),
+        &budget,
+        &config,
+    );
+    assert_eq!(
+        spilled.exhausted().map(|i| i.resource),
+        Some(Resource::Store)
+    );
+    let full = net.reachability_bounded(&budget).into_value();
+    let mut sp = spilled.into_value();
+    assert!(sp.state_count() < full.state_count());
+    let mut buf = Vec::new();
+    for i in 0..sp.state_count() {
+        let s = StateId::from_index(i);
+        sp.marking_into(s, &mut buf).unwrap();
+        assert_eq!(buf.as_slice(), full.marking_slice(s), "marking {s}");
+        assert!(full.edges(s).starts_with(sp.edges(s)), "edges {s}");
     }
 }
 

@@ -99,8 +99,10 @@ pub enum Request {
         max_states: usize,
         /// Per-request wall-clock deadline in milliseconds.
         deadline_ms: Option<u64>,
-        /// Exploration worker threads (server clamps; `1` = sequential,
-        /// values above the server cap or `0` are rejected).
+        /// Legacy knob kept on the wire for older clients: `0` or values
+        /// above [`crate::MAX_REQUEST_THREADS`] are rejected with
+        /// `BadRequest`, any other value is ignored (exploration is
+        /// sequential).
         threads: usize,
         /// Stream non-final [`Response::Progress`] frames while the
         /// exploration runs (v2 connections only; ignored inside a
@@ -117,9 +119,7 @@ pub enum Request {
         max_states: usize,
         /// Per-request wall-clock deadline in milliseconds.
         deadline_ms: Option<u64>,
-        /// Accepted and validated like `Reach::threads`, but the tree
-        /// build itself is sequential (Karp–Miller node construction is
-        /// inherently ordered); present so clients can set one knob.
+        /// Validated and ignored exactly like `Reach::threads`.
         threads: usize,
         /// The `.cpn` document text.
         doc: String,
@@ -592,7 +592,7 @@ pub struct ExploreSummary {
     /// Edges examined.
     pub edges: usize,
     /// `None` if the exploration completed; otherwise the resource that
-    /// ran out first (`states`, `transitions`, `deadline`, `cancelled`).
+    /// ran out first (`states`, `transitions`, `deadline`, `cancelled`, `store`).
     pub stopped: Option<String>,
     /// Verb-specific detail: the token bound for `reach`, the
     /// boundedness verdict for `cover`.

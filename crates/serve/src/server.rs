@@ -67,7 +67,7 @@ use cpn_core::{
 };
 use cpn_format::ParseLimits;
 use cpn_petri::{
-    reachability_bounded_parallel_compiled, Bounded, Budget, CancelScope, CoverabilityOutcome,
+    reachability_bounded_compiled, Bounded, Budget, CancelScope, CoverabilityOutcome,
     CoverabilityTree, Deadline, Resource, Verdict,
 };
 use std::collections::{BTreeSet, HashMap};
@@ -80,8 +80,8 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// Protocol ceiling on `threads=` in a request: values above it (or `0`)
-/// are nonsense and rejected with `BadRequest` rather than clamped.
-/// Matches the exploration kernel's own worker cap.
+/// are nonsense and rejected with `BadRequest`. Valid values are
+/// accepted and ignored — exploration is sequential.
 pub const MAX_REQUEST_THREADS: usize = 64;
 
 /// First streamed exploration slice (states); each subsequent slice is
@@ -113,10 +113,6 @@ pub struct ServerConfig {
     pub max_connections: usize,
     /// Cap on `max_states` a request may ask for.
     pub max_states_cap: usize,
-    /// Cap on exploration threads a request may use; requests asking for
-    /// more are clamped here (asking for `0` or for more than
-    /// [`MAX_REQUEST_THREADS`] is a `BadRequest` instead).
-    pub max_threads: usize,
     /// Parse limits for client documents (also bound per-item batch
     /// sizes).
     pub parse_limits: ParseLimits,
@@ -138,7 +134,6 @@ impl Default for ServerConfig {
             drain_grace: Duration::from_secs(5),
             max_connections: 256,
             max_states_cap: 5_000_000,
-            max_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             parse_limits: ParseLimits::default(),
             max_batch_items: crate::proto::MAX_BATCH_ITEMS,
             cache_capacity: 64,
@@ -1185,10 +1180,14 @@ fn run_v2_job(shared: &Shared, request: &Request, sink: &ConnSink, corr: Option<
 /// Whether a response is a pure function of its request — reusable for
 /// a byte-identical sibling in the same batch. Complete verdicts and
 /// states-exhausted partials are deterministic (the kernel's contract);
-/// anything the wall clock or a cancellation shaped is not.
+/// anything the wall clock, a cancellation or an allocator refusal
+/// shaped is not.
 fn response_is_pure(resp: &Response) -> bool {
     let deterministic_stop = |stopped: &Option<String>| {
-        !matches!(stopped.as_deref(), Some("deadline") | Some("cancelled"))
+        !matches!(
+            stopped.as_deref(),
+            Some("deadline") | Some("cancelled") | Some("store")
+        )
     };
     match resp {
         Response::Result(s) => deterministic_stop(&s.stopped),
@@ -1228,15 +1227,14 @@ fn handle_request_opts(
         } => (net, *max_states, *threads, doc, true),
     };
 
-    // Validate, then clamp: zero threads or requests beyond the protocol
-    // ceiling are client nonsense and get a typed rejection; anything
-    // else is clamped to what this server is willing to run.
+    // Zero threads or requests beyond the protocol ceiling are client
+    // nonsense and get a typed rejection; any other value is ignored
+    // (exploration is sequential).
     if threads == 0 || threads > MAX_REQUEST_THREADS {
         return Response::BadRequest(format!(
             "threads must be in 1..={MAX_REQUEST_THREADS}, got {threads}"
         ));
     }
-    let threads = threads.min(shared.config.max_threads.max(1));
 
     // Chaos hook: with CPN_SERVE_CHAOS set, a request for this net name
     // panics inside the worker on purpose, so panic isolation is
@@ -1287,7 +1285,7 @@ fn handle_request_opts(
             },
         }
     } else {
-        explore_reach(shared, &cached, cap, deadline, threads, stream)
+        explore_reach(shared, &cached, cap, deadline, stream)
     };
     Response::Result(summary)
 }
@@ -1332,7 +1330,6 @@ fn explore_reach(
     cached: &crate::cache::CachedNet,
     cap: usize,
     deadline: Deadline,
-    threads: usize,
     stream: Option<&StreamCtx<'_>>,
 ) -> ExploreSummary {
     let mut slice = match stream {
@@ -1343,11 +1340,7 @@ fn explore_reach(
         let budget = Budget::states(slice)
             .with_deadline_at(deadline)
             .with_cancel(shared.cancel.token());
-        // The lock-free kernel's output is byte-identical to the
-        // sequential one, so the thread count never changes an answer —
-        // only how fast it arrives.
-        match reachability_bounded_parallel_compiled(&cached.compiled, &cached.m0, &budget, threads)
-        {
+        match reachability_bounded_compiled(&cached.compiled, &cached.m0, &budget) {
             Bounded::Complete(rg) => {
                 return ExploreSummary {
                     states: rg.state_count(),
